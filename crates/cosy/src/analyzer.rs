@@ -1,9 +1,9 @@
 //! Context enumeration, parallel property evaluation, ranking and
 //! bottleneck detection.
 
-use crate::backend::{Backend, PreparedBackend};
+use crate::backend::{Backend, PreparedBackend, WorkerMemo};
 use crate::error::{AnalysisError, SpecError};
-use crate::suite::{standard_suite, ContextSelector, SUITE};
+use crate::suite::{standard_suite, ContextSelector, PropertyInfo, SUITE};
 use asl_core::check::CheckedSpec;
 use asl_eval::{compile as compile_ir, CompiledSpec, Value};
 use perfdata::{CallId, RegionId, Store, TestRunId, VersionId};
@@ -156,9 +156,42 @@ impl ContextScope {
     }
 }
 
-/// One enumerated property instance: property name, argument vector and
-/// the human-facing context description.
-pub type Instance = (String, Vec<Value>, ContextDesc);
+/// The enumerated property instances of one or more runs. Each context's
+/// argument vector (subject, run, ranking basis) and description is stored
+/// once; an instance is a (property, context) pair, in enumeration order.
+#[derive(Debug, Clone, Default)]
+pub struct Instances {
+    contexts: Vec<([Value; 3], ContextDesc)>,
+    items: Vec<(&'static str, u32)>,
+}
+
+impl Instances {
+    /// Number of instances.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// True when there is no instance.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The instances in order: property name, argument vector and context.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &[Value], &ContextDesc)> + '_ {
+        self.items.iter().map(|&(prop, c)| {
+            let (args, desc) = &self.contexts[c as usize];
+            (prop, &args[..], desc)
+        })
+    }
+
+    /// Move `other`'s instances behind this list's.
+    pub fn append(&mut self, other: Instances) {
+        let base = self.contexts.len() as u32;
+        self.contexts.extend(other.contexts);
+        self.items
+            .extend(other.items.into_iter().map(|(prop, c)| (prop, base + c)));
+    }
+}
 
 /// The COSY analyzer bound to one program version in a store.
 pub struct Analyzer<'s> {
@@ -273,60 +306,78 @@ impl<'s> Analyzer<'s> {
 
     /// Enumerate all (property, argument-vector, context) instances for one
     /// run. Properties not present in the suite spec are skipped.
-    pub fn instances(&self, run: TestRunId) -> Vec<Instance> {
+    pub fn instances(&self, run: TestRunId) -> Instances {
         self.instances_scoped(run, &ContextScope::All)
+    }
+
+    /// The suite entries the spec declares, in reporting order.
+    fn suite(&self) -> impl Iterator<Item = &'static PropertyInfo> + '_ {
+        SUITE
+            .iter()
+            .filter(|info| self.spec.property(info.name).is_some())
+    }
+
+    /// The in-scope contexts a selector picks for `run`: each context's
+    /// argument vector and description.
+    fn contexts(
+        &self,
+        selector: ContextSelector,
+        run: TestRunId,
+        scope: &ContextScope,
+    ) -> Vec<([Value; 3], ContextDesc)> {
+        let basis = Value::region(self.basis);
+        match selector {
+            ContextSelector::AllRegions => self
+                .regions()
+                .into_iter()
+                .filter(|&r| scope.has_region(r))
+                .map(|r| {
+                    let desc = ContextDesc {
+                        region: Some(r.0),
+                        call: None,
+                        run: run.0,
+                        label: self.store.regions[r.index()].name.clone(),
+                    };
+                    ([Value::region(r), Value::run(run), basis.clone()], desc)
+                })
+                .collect(),
+            ContextSelector::BarrierCalls | ContextSelector::AllCalls => self
+                .calls(selector)
+                .into_iter()
+                .filter(|&c| scope.has_call(c))
+                .map(|c| {
+                    let call = &self.store.calls[c.index()];
+                    let callee = &self.store.functions[call.callee.index()].name;
+                    let site = &self.store.regions[call.calling_reg.index()].name;
+                    let desc = ContextDesc {
+                        region: None,
+                        call: Some(c.0),
+                        run: run.0,
+                        label: format!("call {callee} at {site}"),
+                    };
+                    ([Value::call(c), Value::run(run), basis.clone()], desc)
+                })
+                .collect(),
+        }
     }
 
     /// Enumerate the property instances of one run restricted to a context
     /// scope. `ContextScope::All` yields the full batch cross-product; a
     /// dirty scope yields only the instances whose region/call context is
-    /// listed — the unit of work of incremental re-analysis.
-    pub fn instances_scoped(&self, run: TestRunId, scope: &ContextScope) -> Vec<Instance> {
-        let mut out = Vec::new();
-        let basis = Value::region(self.basis);
-        for info in SUITE {
-            if self.spec.property(info.name).is_none() {
-                continue;
-            }
-            match info.contexts {
-                ContextSelector::AllRegions => {
-                    for r in self.regions() {
-                        if !scope.has_region(r) {
-                            continue;
-                        }
-                        out.push((
-                            info.name.to_string(),
-                            vec![Value::region(r), Value::run(run), basis.clone()],
-                            ContextDesc {
-                                region: Some(r.0),
-                                call: None,
-                                run: run.0,
-                                label: self.store.regions[r.index()].name.clone(),
-                            },
-                        ));
-                    }
-                }
-                sel @ (ContextSelector::BarrierCalls | ContextSelector::AllCalls) => {
-                    for c in self.calls(sel) {
-                        if !scope.has_call(c) {
-                            continue;
-                        }
-                        let call = &self.store.calls[c.index()];
-                        let callee = &self.store.functions[call.callee.index()].name;
-                        let site = &self.store.regions[call.calling_reg.index()].name;
-                        out.push((
-                            info.name.to_string(),
-                            vec![Value::call(c), Value::run(run), basis.clone()],
-                            ContextDesc {
-                                region: None,
-                                call: Some(c.0),
-                                run: run.0,
-                                label: format!("call {callee} at {site}"),
-                            },
-                        ));
-                    }
-                }
-            }
+    /// listed — the unit of work of incremental re-analysis. Each
+    /// selector's contexts are enumerated once per call and shared by every
+    /// property over them.
+    pub fn instances_scoped(&self, run: TestRunId, scope: &ContextScope) -> Instances {
+        let mut by_selector: [Option<(u32, u32)>; 3] = [None; 3];
+        let mut out = Instances::default();
+        for info in self.suite() {
+            let (start, end) = *by_selector[info.contexts as usize].get_or_insert_with(|| {
+                let start = out.contexts.len() as u32;
+                out.contexts
+                    .extend(self.contexts(info.contexts, run, scope));
+                (start, out.contexts.len() as u32)
+            });
+            out.items.extend((start..end).map(|c| (info.name, c)));
         }
         out
     }
@@ -338,41 +389,44 @@ impl<'s> Analyzer<'s> {
     /// negligible cost.
     pub fn instance_universe(&self) -> usize {
         let regions = self.regions().len();
-        let mut count = 0;
-        for info in SUITE {
-            if self.spec.property(info.name).is_none() {
-                continue;
-            }
-            count += match info.contexts {
+        let barrier_calls = self.calls(ContextSelector::BarrierCalls).len();
+        let calls = self.calls(ContextSelector::AllCalls).len();
+        self.suite()
+            .map(|info| match info.contexts {
                 ContextSelector::AllRegions => regions,
-                sel @ (ContextSelector::BarrierCalls | ContextSelector::AllCalls) => {
-                    self.calls(sel).len()
-                }
-            };
-        }
-        count
+                ContextSelector::BarrierCalls => barrier_calls,
+                ContextSelector::AllCalls => calls,
+            })
+            .sum()
     }
 
     /// Evaluate a set of enumerated instances on a prepared backend, in
-    /// parallel. The result is aligned with `instances`: `Some(entry)` for
-    /// an instance that held with positive severity, `None` for one that
-    /// did not hold or was not applicable. Both the batch [`Self::analyze`]
-    /// and the incremental engine go through this single code path.
+    /// parallel on the worker pool. The result is aligned with
+    /// `instances`: `Some(entry)` for an instance that held with positive
+    /// severity, `None` for one that did not hold or was not applicable.
+    /// Workers take blocks of instances dynamically and each keeps its own
+    /// [`WorkerMemo`], so expensive properties spread over all workers and
+    /// no memo is shared. Both the batch [`Self::analyze`] and the
+    /// incremental engine go through this single code path.
     pub fn evaluate_instances(
         &self,
         prepared: &PreparedBackend<'_>,
-        instances: &[Instance],
+        instances: &Instances,
     ) -> Result<Vec<Option<HeldEntry>>, AnalysisError> {
         let results: Vec<Result<Option<HeldEntry>, AnalysisError>> = instances
+            .items
             .par_iter()
-            .map(|(prop, args, ctx)| match prepared.eval(prop, args)? {
-                Some(o) if o.holds && o.severity > 0.0 => Ok(Some(HeldEntry {
-                    property: prop.clone(),
-                    context: ctx.clone(),
-                    severity: o.severity,
-                    confidence: o.confidence,
-                })),
-                _ => Ok(None),
+            .map_init(WorkerMemo::default, |memo, &(prop, c)| {
+                let (args, ctx) = &instances.contexts[c as usize];
+                match prepared.eval(prop, args, memo)? {
+                    Some(o) if o.holds && o.severity > 0.0 => Ok(Some(HeldEntry {
+                        property: prop.to_string(),
+                        context: ctx.clone(),
+                        severity: o.severity,
+                        confidence: o.confidence,
+                    })),
+                    _ => Ok(None),
+                }
             })
             .collect();
         results.into_iter().collect()

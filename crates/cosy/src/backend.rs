@@ -9,8 +9,8 @@
 use crate::error::{AnalysisError, SpecError};
 use asl_core::check::CheckedSpec;
 use asl_eval::{
-    compile as compile_ir, CompiledEvaluator, CompiledSpec, CosyData, Interpreter, PropertyOutcome,
-    Value,
+    compile as compile_ir, CompiledEvaluator, CompiledSpec, CosyData, EvalMemo, Interpreter,
+    PropertyOutcome, Value,
 };
 use asl_sql::{
     compile_batch, compile_property, eval_batch, eval_compiled, generate_schema, loader, SchemaInfo,
@@ -43,6 +43,17 @@ pub enum Backend {
 /// Cache key for batched evaluation: (property, run id, basis id).
 type BatchKey = (String, u32, u32);
 
+/// One worker's mutable evaluation state for a [`PreparedBackend`]: the
+/// compiled evaluator's [`EvalMemo`] and the whole-context-set results the
+/// batched SQL backend has fetched. [`crate::Analyzer::evaluate_instances`]
+/// creates one per participating thread and call; it is never shared, so
+/// no lock guards it.
+#[derive(Default)]
+pub struct WorkerMemo {
+    eval: EvalMemo,
+    batches: HashMap<BatchKey, HashMap<u32, PropertyOutcome>>,
+}
+
 /// A prepared evaluator for one backend. `None` outcomes mean the property
 /// is not applicable in that context (e.g. no timing recorded).
 pub enum PreparedBackend<'a> {
@@ -59,8 +70,9 @@ pub enum PreparedBackend<'a> {
         /// The populated database.
         db: Database,
     },
-    /// Batched SQL state: like [`PreparedBackend::Sql`] plus a cache of
-    /// whole-context-set results keyed by (property, run, basis).
+    /// Batched SQL state: like [`PreparedBackend::Sql`]; each worker
+    /// keeps the whole-context-set results it fetched, keyed by
+    /// (property, run, basis), in its [`WorkerMemo`].
     SqlBatched {
         /// The checked suite.
         spec: &'a CheckedSpec,
@@ -68,8 +80,6 @@ pub enum PreparedBackend<'a> {
         schema: SchemaInfo,
         /// The populated database.
         db: Database,
-        /// One result map per (property, run, basis); filled lazily.
-        cache: std::sync::Mutex<HashMap<BatchKey, HashMap<u32, PropertyOutcome>>>,
     },
 }
 
@@ -98,12 +108,7 @@ impl<'a> PreparedBackend<'a> {
                 if backend == Backend::Sql {
                     Ok(PreparedBackend::Sql { spec, schema, db })
                 } else {
-                    Ok(PreparedBackend::SqlBatched {
-                        spec,
-                        schema,
-                        db,
-                        cache: std::sync::Mutex::new(HashMap::new()),
-                    })
+                    Ok(PreparedBackend::SqlBatched { spec, schema, db })
                 }
             }
         }
@@ -111,30 +116,31 @@ impl<'a> PreparedBackend<'a> {
 
     /// Bind an already-compiled spec to a store. This is the cheap
     /// re-preparation path the online engine uses on every flush: the
-    /// expensive lowering happened once, binding only re-evaluates the
-    /// spec's global constants.
+    /// expensive lowering happened once, binding only evaluates the spec's
+    /// global constants — once per binding, however many workers then
+    /// share it. The memos of `Run ==` metric loads and helper calls
+    /// (`Summary(r,t)`, `Duration(Basis,t)` in every severity arm) live in
+    /// each worker's [`WorkerMemo`], not in the binding.
     pub fn from_compiled(
         compiled: Arc<CompiledSpec>,
         store: &'a Store,
     ) -> Result<PreparedBackend<'a>, SpecError> {
-        // Property instances of one flush overwhelmingly share `Run ==`
-        // metric loads and helper calls (`Summary(r,t)`, `Duration(Basis,t)`
-        // in every severity arm); memoize both for the binding's lifetime.
-        let data = CosyData::with_filter_memo(store);
-        let eval =
-            CompiledEvaluator::new_memoized(compiled, data).map_err(|source| SpecError::Bind {
+        let eval = CompiledEvaluator::new(compiled, CosyData::new(store)).map_err(|source| {
+            SpecError::Bind {
                 backend: Backend::Compiled,
                 source,
-            })?;
+            }
+        })?;
         Ok(PreparedBackend::Compiled(eval))
     }
 
-    /// Evaluate one property instance. Returns `Ok(None)` when the property
-    /// is not applicable in the context.
+    /// Evaluate one property instance with one worker's `memo`. Returns
+    /// `Ok(None)` when the property is not applicable in the context.
     pub fn eval(
         &self,
         prop: &str,
         args: &[Value],
+        memo: &mut WorkerMemo,
     ) -> Result<Option<PropertyOutcome>, AnalysisError> {
         let property = |source| AnalysisError::Property {
             property: prop.to_string(),
@@ -145,11 +151,13 @@ impl<'a> PreparedBackend<'a> {
             source,
         };
         match self {
-            PreparedBackend::Compiled(eval) => match eval.eval_property(prop, args) {
-                Ok(o) => Ok(Some(o)),
-                Err(e) if e.is_not_applicable() => Ok(None),
-                Err(e) => Err(property(e)),
-            },
+            PreparedBackend::Compiled(eval) => {
+                match eval.eval_property_memo(prop, args, &mut memo.eval) {
+                    Ok(o) => Ok(Some(o)),
+                    Err(e) if e.is_not_applicable() => Ok(None),
+                    Err(e) => Err(property(e)),
+                }
+            }
             PreparedBackend::Interpreter(interp) => match interp.eval_property(prop, args) {
                 Ok(o) => Ok(Some(o)),
                 Err(e) if e.is_not_applicable() => Ok(None),
@@ -160,12 +168,7 @@ impl<'a> PreparedBackend<'a> {
                 let o = eval_compiled(db, &cp).map_err(sql)?;
                 Ok(Some(o))
             }
-            PreparedBackend::SqlBatched {
-                spec,
-                schema,
-                db,
-                cache,
-            } => {
+            PreparedBackend::SqlBatched { spec, schema, db } => {
                 // Expect the COSY signature (subject, run, basis).
                 let subject = match args.first() {
                     Some(Value::Obj(o)) => o.clone(),
@@ -186,14 +189,14 @@ impl<'a> PreparedBackend<'a> {
                     }
                 };
                 let key: BatchKey = (prop.to_string(), run, basis);
-                let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-                if !cache.contains_key(&key) {
+                if !memo.batches.contains_key(&key) {
                     let fixed = [(1usize, args[1].clone()), (2usize, args[2].clone())];
                     let bc = compile_batch(spec, schema, prop, 0, &fixed, None).map_err(sql)?;
                     let outcomes = eval_batch(db, &bc).map_err(sql)?;
-                    cache.insert(key.clone(), outcomes.into_iter().collect());
+                    memo.batches
+                        .insert(key.clone(), outcomes.into_iter().collect());
                 }
-                let by_id = &cache[&key];
+                let by_id = &memo.batches[&key];
                 Ok(Some(by_id.get(&subject.index).cloned().unwrap_or(
                     // Absent from the batch result: the conditions filtered
                     // it server-side — the property does not hold here.

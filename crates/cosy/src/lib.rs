@@ -15,7 +15,8 @@
 //!   interpretation (`asl-eval`) and full translation to SQL (`asl-sql`),
 //!   behind one trait so analyses are backend-agnostic;
 //! * [`analyzer`] — context enumeration (region × run, barrier-call × run),
-//!   parallel property evaluation (rayon), severity ranking, the
+//!   property evaluation on the shared worker pool (the `rayon` shim,
+//!   one memo per worker), severity ranking, the
 //!   user/tool-defined *performance problem* threshold, and the §4
 //!   *bottleneck* rule ("a program has a unique bottleneck, which is its
 //!   most severe performance property");
@@ -47,7 +48,7 @@ pub mod report;
 pub mod suite;
 
 pub use analyzer::{
-    AnalysisReport, Analyzer, ContextDesc, ContextScope, HeldEntry, Instance, ProblemThreshold,
+    AnalysisReport, Analyzer, ContextDesc, ContextScope, HeldEntry, Instances, ProblemThreshold,
     RankedEntry,
 };
 pub use backend::Backend;

@@ -65,9 +65,11 @@ use online::{
     DurableConfig, DurableSession, IncrementalStats, OnlineSession, RecoveryError, RecoveryStats,
     RunKey, SessionConfig, SessionStats, TraceEvent,
 };
+use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Configuration of a sharded durable session.
@@ -232,6 +234,9 @@ pub struct ShardedSession<E> {
     /// [`ShardedSession::reintegrate`] needs to reopen a shard whose
     /// recovery failed. `None` for in-memory and `from_shards` sessions.
     durable_ctx: Option<(PathBuf, DurableConfig)>,
+    /// Events each shard accepted since its last flush: the flush hands
+    /// the busiest shard to the calling thread (see [`Self::fan_out`]).
+    unflushed: Vec<AtomicUsize>,
 }
 
 impl<E> ShardedSession<E> {
@@ -239,6 +244,7 @@ impl<E> ShardedSession<E> {
     /// the `open_*` constructors are the usual entry points).
     pub fn from_shards(shards: Vec<E>) -> Self {
         assert!(!shards.is_empty(), "a sharded session needs >= 1 shard");
+        let n = shards.len();
         ShardedSession {
             shards: shards
                 .into_iter()
@@ -246,6 +252,7 @@ impl<E> ShardedSession<E> {
                 .collect(),
             routes: Mutex::new(HashMap::new()),
             durable_ctx: None,
+            unflushed: (0..n).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
@@ -354,30 +361,20 @@ impl<E> ShardedSession<E> {
     }
 
     /// Run `f` for each listed shard index — the one fan-out/fan-in used
-    /// by ingest, flush and checkpoint. A single listed index runs inline
-    /// (no thread spawn); more fan out over scoped threads. Unlisted
-    /// shards get `None`.
+    /// by ingest, flush and checkpoint. The listed shards are the items of
+    /// one call on the worker pool (the `rayon` shim): shards on pool
+    /// workers evaluate inline there, and a shard on the calling thread —
+    /// the only one when a single index is listed — spreads its evaluation
+    /// over whatever workers are free. Unlisted shards get `None`.
     fn fan_out<T, F>(&self, indices: &[usize], f: F) -> Vec<Option<T>>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
-        E: Send,
     {
         let mut results: Vec<Option<T>> = (0..self.shards.len()).map(|_| None).collect();
-        match indices {
-            [] => {}
-            &[i] => results[i] = Some(f(i)),
-            _ => {
-                std::thread::scope(|scope| {
-                    for (i, slot) in results.iter_mut().enumerate() {
-                        if !indices.contains(&i) {
-                            continue;
-                        }
-                        let f = &f;
-                        scope.spawn(move || *slot = Some(f(i)));
-                    }
-                });
-            }
+        let outs: Vec<T> = indices.par_iter().map(|&i| f(i)).collect();
+        for (&i, out) in indices.iter().zip(outs) {
+            results[i] = Some(out);
         }
         results
     }
@@ -494,6 +491,7 @@ impl ShardedSession<DurableSession> {
             shards: states.into_iter().map(Mutex::new).collect(),
             routes: Mutex::new(HashMap::new()),
             durable_ctx: Some((dir, config.durable)),
+            unflushed: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
         };
         // Rebuild run affinity from the recovered shard stores; new runs
         // of already-known versions re-derive the same shard from the
@@ -646,7 +644,10 @@ impl<E: AnalysisEngine> ShardedSession<E> {
             ShardState::Healthy(engine) => engine.ingest_batch(group),
         };
         match result {
-            Ok(n) => Ok(n),
+            Ok(n) => {
+                self.unflushed[index].fetch_add(n, Ordering::Relaxed);
+                Ok(n)
+            }
             Err(e) if e.failed_wholesale() => {
                 // The shard applied nothing of this group (a failed WAL
                 // append rolls the whole batch out of the log), so parking
@@ -667,9 +668,9 @@ impl<E: AnalysisEngine> ShardedSession<E> {
 
 impl<E: AnalysisEngine> AnalysisEngine for ShardedSession<E> {
     /// Partition the batch by run affinity and apply every non-empty
-    /// sub-batch **in parallel** (per-shard WAL appends and store updates
-    /// proceed concurrently); a batch that lands on one shard runs inline
-    /// with no thread spawn.
+    /// sub-batch **in parallel** on the worker pool (per-shard WAL appends
+    /// and store updates proceed concurrently); a batch that lands on one
+    /// shard runs on the calling thread.
     ///
     /// Contract nuance vs an unsharded session: on multiple rejections
     /// the error returned is the first failing shard's first rejection
@@ -684,7 +685,7 @@ impl<E: AnalysisEngine> AnalysisEngine for ShardedSession<E> {
     fn ingest_batch(&self, events: &[TraceEvent]) -> Result<usize, EngineError> {
         let groups = match self.partition(events) {
             // Whole batch, one shard: feed the caller's slice straight
-            // through — no clone, no per-shard Vec, no thread spawn.
+            // through — no clone, no per-shard Vec, no pool round trip.
             Partitioned::Single(shard, slice) => {
                 return self.ingest_shard(shard, slice);
             }
@@ -718,9 +719,20 @@ impl<E: AnalysisEngine> AnalysisEngine for ShardedSession<E> {
     /// reason, see [`ShardedSession::degraded_state`]) rather than
     /// failing the whole flush — the healthy shards' updates are still
     /// returned.
+    ///
+    /// Shards are listed busiest first: the calling thread normally takes
+    /// the first listed shard, and unlike a pool worker it spreads that
+    /// shard's evaluation over the workers as they finish the lighter
+    /// shards.
     fn flush(&self) -> Result<Vec<RunKey>, EngineError> {
-        let all: Vec<usize> = (0..self.shards.len()).collect();
-        let results = self.fan_out(&all, |i| {
+        let unflushed: Vec<usize> = self
+            .unflushed
+            .iter()
+            .map(|n| n.swap(0, Ordering::Relaxed))
+            .collect();
+        let mut order: Vec<usize> = (0..self.shards.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(unflushed[i]));
+        let results = self.fan_out(&order, |i| {
             let mut state = self.state(i);
             let result = match &mut *state {
                 ShardState::Quarantined(_) => return Vec::new(),

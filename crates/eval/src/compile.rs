@@ -34,13 +34,14 @@
 use crate::error::{EvalError, EvalErrorKind, EvalResult};
 use crate::interp::{ObjectModel, PropertyOutcome};
 use crate::ops;
-use crate::value::Value;
+use crate::value::{ObjRef, Value};
 use asl_core::ast::*;
 use asl_core::check::CheckedSpec;
 use asl_core::intern::Symbol;
 use asl_core::Span;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Maximum user-function call depth (mirrors the interpreter).
 const MAX_CALL_DEPTH: usize = 64;
@@ -55,22 +56,37 @@ static CACHE_MISSES: obs::Counter = obs::Counter::new();
 /// Lifetime `(hits, misses)` of the compiled evaluator's memoization
 /// cache, summed over every evaluator in the process (the statics are
 /// process-global: a sharded engine's shards all bump the same pair, so
-/// add these to a merged snapshot exactly once, at the top level).
+/// add these to a merged snapshot exactly once, at the top level). Every
+/// [`EvalMemo`] tallies locally and adds its share when it is dropped.
 pub fn cache_counters() -> (u64, u64) {
     (CACHE_HITS.get(), CACHE_MISSES.get())
 }
 
 /// Process-wide hit counter of the helper-function result memo (see
-/// [`CompiledEvaluator::new_memoized`]).
+/// [`EvalMemo`]).
 static FN_MEMO_HITS: obs::Counter = obs::Counter::new();
 /// Process-wide miss counter of the helper-function result memo.
 static FN_MEMO_MISSES: obs::Counter = obs::Counter::new();
 
 /// Lifetime `(hits, misses)` of the helper-function result memo, summed
-/// over every memoized evaluator in the process (same single-snapshot
-/// caveat as [`cache_counters`]).
+/// over every [`EvalMemo`] in the process (same single-snapshot caveat
+/// as [`cache_counters`]).
 pub fn fn_memo_counters() -> (u64, u64) {
     (FN_MEMO_HITS.get(), FN_MEMO_MISSES.get())
+}
+
+/// Process-wide hit counter of the indexed filter-load memo (see
+/// [`EvalMemo`]).
+static FILTER_MEMO_HITS: obs::Counter = obs::Counter::new();
+/// Process-wide miss counter of the indexed filter-load memo.
+static FILTER_MEMO_MISSES: obs::Counter = obs::Counter::new();
+
+/// Lifetime `(hits, misses)` of the indexed filter-load memo, summed over
+/// every [`EvalMemo`] in the process (same single-snapshot caveat as
+/// [`cache_counters`]); exported as
+/// `kojak_eval_filter_memo_{hits,misses}_total`.
+pub fn filter_memo_counters() -> (u64, u64) {
+    (FILTER_MEMO_HITS.get(), FILTER_MEMO_MISSES.get())
 }
 
 /// Reference to a node in the [`CompiledSpec`] pool.
@@ -1441,30 +1457,145 @@ fn fn_memo_key(fid: usize, args: &[Value]) -> Option<FnMemoKey> {
     Some((fid as u32, key))
 }
 
+/// Memo key of an indexed filter load: the interned set and element
+/// attribute names (by address — interning gives equal names one
+/// address), then the filtered object and the key object as
+/// (class, index).
+type FilterKey = (usize, usize, Symbol, u32, Symbol, u32);
+
+/// Hit/miss tallies of one [`EvalMemo`] for the `Ir::Cached` caches, the
+/// filter-load memo and the helper-function memo.
+#[derive(Default, Clone, Copy)]
+struct Tally {
+    cache: (u64, u64),
+    filter: (u64, u64),
+    fns: (u64, u64),
+}
+
+/// Source of [`CompiledEvaluator`] binding ids.
+static NEXT_BINDING: AtomicU64 = AtomicU64::new(0);
+
+/// The mutable half of compiled evaluation: one worker's memos, handed to
+/// [`CompiledEvaluator::eval_property_memo`] by `&mut`, so workers sharing
+/// one evaluator never contend on a lock.
+///
+/// Two memos, both sound because the evaluator's data source is immutable
+/// for the binding's lifetime:
+///
+/// * **Filter loads.** Indexed `x IN obj.Set WITH x.Attr == key` loads
+///   that the data source answers ([`ObjectModel::filter_eq`]) are kept
+///   per (set, attribute, object, key object): one analysis pass
+///   evaluates many property instances over the same few (region, run)
+///   pairs, which would otherwise re-load the same timing sets.
+/// * **Helper-function results.** ASL helper functions are pure, so a
+///   `(function, scalar args)` call always yields the same value — e.g.
+///   every severity arm of the standard suite divides by the same
+///   `Duration(Basis, t)`. Calls with float/string/set arguments bypass
+///   the memo.
+///
+/// Only `Ok` results are kept, so failure behavior is unchanged, with one
+/// deliberate divergence from unmemoized evaluation: a repeated call that
+/// would only fail by exceeding the call-depth limit can instead hit the
+/// memo and return the value the shallower evaluation proved — the
+/// resource-limit error is masked, never a computed result.
+///
+/// A memo remembers the binding it serves and starts over when handed to
+/// another one. Its hit/miss tallies reach the process counters
+/// ([`cache_counters`], [`filter_memo_counters`], [`fn_memo_counters`])
+/// once, when it is dropped.
+pub struct EvalMemo {
+    memoize: bool,
+    binding: Option<u64>,
+    filters: HashMap<FilterKey, Vec<Value>>,
+    fns: HashMap<FnMemoKey, Value>,
+    tally: Tally,
+}
+
+impl EvalMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::with(true)
+    }
+
+    /// State that memoizes nothing and only tallies the `Ir::Cached`
+    /// caches: the reference path of [`CompiledEvaluator::eval_property`].
+    fn off() -> Self {
+        Self::with(false)
+    }
+
+    fn with(memoize: bool) -> Self {
+        EvalMemo {
+            memoize,
+            binding: None,
+            filters: HashMap::new(),
+            fns: HashMap::new(),
+            tally: Tally::default(),
+        }
+    }
+
+    /// Point the memo at `binding`, forgetting another binding's entries.
+    fn bind(&mut self, binding: u64) {
+        if self.binding != Some(binding) {
+            self.filters.clear();
+            self.fns.clear();
+            self.binding = Some(binding);
+        }
+    }
+}
+
+impl Default for EvalMemo {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Drop for EvalMemo {
+    fn drop(&mut self) {
+        let Tally { cache, filter, fns } = self.tally;
+        for (counter, n) in [
+            (&CACHE_HITS, cache.0),
+            (&CACHE_MISSES, cache.1),
+            (&FILTER_MEMO_HITS, filter.0),
+            (&FILTER_MEMO_MISSES, filter.1),
+            (&FN_MEMO_HITS, fns.0),
+            (&FN_MEMO_MISSES, fns.1),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+    }
+}
+
 /// Executes a [`CompiledSpec`] against an [`ObjectModel`]. Global constants
 /// are evaluated eagerly at construction (in declaration order, mirroring
 /// [`crate::Interpreter::new`]).
 ///
-/// The evaluator is `Sync` whenever the data source is: the analyzers share
-/// one evaluator across rayon workers for parallel per-context evaluation.
+/// The evaluator is the immutable half of compiled evaluation — spec, data
+/// and evaluated constants, bound once — and is `Sync` whenever the data
+/// source is: parallel workers share one evaluator, each bringing its own
+/// [`EvalMemo`].
 pub struct CompiledEvaluator<M: ObjectModel> {
     spec: Arc<CompiledSpec>,
     data: M,
     consts: Vec<Value>,
-    fn_memo: Option<Mutex<HashMap<FnMemoKey, Value>>>,
+    /// Unique id of this binding, checked by every [`EvalMemo`] it is
+    /// handed.
+    binding: u64,
 }
 
 impl<M: ObjectModel> CompiledEvaluator<M> {
     /// Bind a compiled spec to a data source and evaluate its constants.
     pub fn new(spec: Arc<CompiledSpec>, data: M) -> EvalResult<Self> {
         let mut consts: Vec<Value> = Vec::with_capacity(spec.consts.len());
+        let mut memo = EvalMemo::off();
         for i in 0..spec.consts.len() {
             let v = {
-                let ctx = Ctx {
+                let mut ctx = Ctx {
                     cs: &spec,
                     data: &data,
                     consts: &consts,
-                    fn_memo: None,
+                    memo: &mut memo,
                 };
                 let mut frame = vec![Value::Null; spec.consts[i].n_slots];
                 let mut caches = vec![None; spec.consts[i].n_caches];
@@ -1476,28 +1607,8 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
             spec,
             data,
             consts,
-            fn_memo: None,
+            binding: NEXT_BINDING.fetch_add(1, Ordering::Relaxed),
         })
-    }
-
-    /// Like [`CompiledEvaluator::new`], but memoizes helper-function
-    /// results for the evaluator's lifetime.
-    ///
-    /// ASL helper functions are pure and the data source is immutable for
-    /// the binding's lifetime, so a successfully computed `(function,
-    /// scalar args)` call always yields the same value across the property
-    /// instances of one analysis pass — e.g. every severity arm of the
-    /// standard suite divides by the same `Duration(Basis, t)`. Only `Ok`
-    /// results are memoized; calls with float/string/set arguments bypass
-    /// the memo. One deliberate divergence from the unmemoized engines: a
-    /// repeated call that would only fail by exceeding the call-depth
-    /// limit can instead hit the memo and return the value the shallower
-    /// evaluation proved — the resource-limit error is masked, never a
-    /// computed result.
-    pub fn new_memoized(spec: Arc<CompiledSpec>, data: M) -> EvalResult<Self> {
-        let mut out = Self::new(spec, data)?;
-        out.fn_memo = Some(Mutex::new(HashMap::new()));
-        Ok(out)
     }
 
     /// The compiled specification.
@@ -1505,18 +1616,32 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
         &self.spec
     }
 
-    fn ctx(&self) -> Ctx<'_, M> {
+    fn ctx<'c>(&'c self, memo: &'c mut EvalMemo) -> Ctx<'c, M> {
+        memo.bind(self.binding);
         Ctx {
             cs: &self.spec,
             data: &self.data,
             consts: &self.consts,
-            fn_memo: self.fn_memo.as_ref(),
+            memo,
         }
     }
 
-    /// Evaluate a property in the context given by `args` (one value per
-    /// declared parameter). Mirrors [`crate::Interpreter::eval_property`].
+    /// Evaluate a property without memoization: the reference path,
+    /// identical to [`crate::Interpreter::eval_property`] in every outcome
+    /// and error.
     pub fn eval_property(&self, name: &str, args: &[Value]) -> EvalResult<PropertyOutcome> {
+        self.eval_property_memo(name, args, &mut EvalMemo::off())
+    }
+
+    /// Evaluate a property in the context given by `args` (one value per
+    /// declared parameter), reusing and extending `memo` (see [`EvalMemo`]).
+    /// Mirrors [`crate::Interpreter::eval_property`].
+    pub fn eval_property_memo(
+        &self,
+        name: &str,
+        args: &[Value],
+        memo: &mut EvalMemo,
+    ) -> EvalResult<PropertyOutcome> {
         let &pid = self.spec.prop_ids.get(name).ok_or_else(|| {
             EvalError::new(EvalErrorKind::Unknown, format!("unknown property `{name}`"))
         })?;
@@ -1531,7 +1656,7 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
                 ),
             ));
         }
-        let ctx = self.ctx();
+        let mut ctx = self.ctx(memo);
         let mut frame: Vec<Value> = Vec::with_capacity(p.n_slots);
         frame.extend(args.iter().cloned());
         frame.resize(p.n_slots, Value::Null);
@@ -1606,21 +1731,23 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
         let &fid = self.spec.fn_ids.get(name).ok_or_else(|| {
             EvalError::new(EvalErrorKind::Unknown, format!("unknown function `{name}`"))
         })?;
-        self.ctx().call_fn(fid, args.to_vec(), 0)
+        self.ctx(&mut EvalMemo::off())
+            .call_fn(fid, args.to_vec(), 0)
     }
 }
 
-/// Borrowed execution context (spec + data + evaluated constants); also
-/// used during constant initialization when the evaluator is half-built.
+/// Execution context: the borrowed binding (spec + data + evaluated
+/// constants) plus one worker's memo; also used during constant
+/// initialization when the evaluator is half-built.
 struct Ctx<'c, M: ObjectModel> {
     cs: &'c CompiledSpec,
     data: &'c M,
     consts: &'c [Value],
-    fn_memo: Option<&'c Mutex<HashMap<FnMemoKey, Value>>>,
+    memo: &'c mut EvalMemo,
 }
 
 impl<M: ObjectModel> Ctx<'_, M> {
-    fn call_fn(&self, fid: usize, args: Vec<Value>, depth: usize) -> EvalResult<Value> {
+    fn call_fn(&mut self, fid: usize, args: Vec<Value>, depth: usize) -> EvalResult<Value> {
         let f = &self.cs.functions[fid];
         if args.len() != f.n_params {
             return Err(EvalError::new(
@@ -1639,29 +1766,66 @@ impl<M: ObjectModel> Ctx<'_, M> {
                 format!("call depth limit exceeded in `{}`", f.name),
             ));
         }
-        let key = self.fn_memo.and_then(|_| fn_memo_key(fid, &args));
-        if let (Some(memo), Some(key)) = (self.fn_memo, &key) {
-            let guard = memo.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(v) = guard.get(key) {
-                FN_MEMO_HITS.inc();
+        let key = if self.memo.memoize {
+            fn_memo_key(fid, &args)
+        } else {
+            None
+        };
+        if let Some(key) = &key {
+            if let Some(v) = self.memo.fns.get(key) {
+                self.memo.tally.fns.0 += 1;
                 return Ok(v.clone());
             }
-            FN_MEMO_MISSES.inc();
+            self.memo.tally.fns.1 += 1;
         }
         let mut frame = args;
         frame.resize(f.n_slots, Value::Null);
         let mut caches = vec![None; f.n_caches];
         let out = self.exec(f.body, &mut frame, &mut caches, depth + 1)?;
-        if let (Some(memo), Some(key)) = (self.fn_memo, key) {
-            memo.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(key, out.clone());
+        if let Some(key) = key {
+            self.memo.fns.insert(key, out.clone());
         }
         Ok(out)
     }
 
+    /// An indexed filter load answered by the data source, memoized per
+    /// worker. `None` when the source has no index for the shape (the
+    /// caller scans); only loads the source answers count as hits/misses.
+    fn filter_indexed(
+        &mut self,
+        obj: &ObjRef,
+        set_attr: &str,
+        elem_attr: &str,
+        key: &Value,
+    ) -> Option<EvalResult<Vec<Value>>> {
+        let memo_key = match key {
+            Value::Obj(k) if self.memo.memoize => Some((
+                set_attr.as_ptr() as usize,
+                elem_attr.as_ptr() as usize,
+                obj.class,
+                obj.index,
+                k.class,
+                k.index,
+            )),
+            _ => None,
+        };
+        if let Some(hit) = memo_key.as_ref().and_then(|k| self.memo.filters.get(k)) {
+            self.memo.tally.filter.0 += 1;
+            return Some(Ok(hit.clone()));
+        }
+        let loaded = self.data.filter_eq(obj, set_attr, elem_attr, key)?;
+        if let Some(memo_key) = memo_key {
+            self.memo.tally.filter.1 += 1;
+            // Errors (dangling references) are never memoized.
+            if let Ok(items) = &loaded {
+                self.memo.filters.insert(memo_key, items.clone());
+            }
+        }
+        Some(loaded)
+    }
+
     fn exec(
-        &self,
+        &mut self,
         node: NodeRef,
         frame: &mut Vec<Value>,
         caches: &mut [Option<Value>],
@@ -1675,13 +1839,14 @@ impl<M: ObjectModel> Ctx<'_, M> {
     }
 
     fn exec_inner(
-        &self,
+        &mut self,
         node: NodeRef,
         frame: &mut Vec<Value>,
         caches: &mut [Option<Value>],
         depth: usize,
     ) -> EvalResult<Value> {
-        match &self.cs.nodes[node as usize] {
+        let cs = self.cs;
+        match &cs.nodes[node as usize] {
             Ir::Int(v) => Ok(Value::Int(*v)),
             Ir::Float(v) => Ok(Value::Float(*v)),
             Ir::Bool(b) => Ok(Value::Bool(*b)),
@@ -1898,10 +2063,10 @@ impl<M: ObjectModel> Ctx<'_, M> {
             }
             Ir::Cached { cache, expr } => {
                 if let Some(v) = &caches[*cache as usize] {
-                    CACHE_HITS.inc();
+                    self.memo.tally.cache.0 += 1;
                     return Ok(v.clone());
                 }
-                CACHE_MISSES.inc();
+                self.memo.tally.cache.1 += 1;
                 let v = self.exec(*expr, frame, caches, depth)?;
                 caches[*cache as usize] = Some(v.clone());
                 Ok(v)
@@ -1924,7 +2089,7 @@ impl<M: ObjectModel> Ctx<'_, M> {
                 // `Compiler::is_infallible`), so hoisting it before the
                 // set access cannot reorder observable errors.
                 let key_v = self.exec(*key, frame, caches, depth)?;
-                if let Some(indexed) = self.data.filter_eq(obj_ref, set_attr, elem_attr, &key_v) {
+                if let Some(indexed) = self.filter_indexed(obj_ref, set_attr, elem_attr, &key_v) {
                     return indexed.map(Value::Set);
                 }
                 // Generic fallback: scan the set, comparing element
@@ -1954,7 +2119,6 @@ mod tests {
     use super::*;
     use crate::error::EvalErrorKind;
     use crate::interp::Interpreter;
-    use crate::value::ObjRef;
     use asl_core::parse_and_check;
 
     /// The interpreter's unit-test object model, reused verbatim.

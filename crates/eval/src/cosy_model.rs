@@ -6,21 +6,7 @@ use crate::interp::ObjectModel;
 use crate::value::{ObjRef, Value};
 use asl_core::intern::Symbol;
 use perfdata::{CallId, RegionId, Store, TestRunId, TimingType};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-
-/// Process-global hit/miss counters of the per-binding Run== filter memo
-/// (mirrors the compiled evaluator's loop-invariant cache counters in
-/// [`crate::compile`]); read via [`filter_memo_counters`].
-static FILTER_MEMO_HITS: obs::Counter = obs::Counter::new();
-static FILTER_MEMO_MISSES: obs::Counter = obs::Counter::new();
-
-/// Cumulative (hits, misses) of the [`CosyData`] filter memo across every
-/// binding in the process — the observability layer turns these into
-/// `kojak_eval_filter_memo_{hits,misses}_total`.
-pub fn filter_memo_counters() -> (u64, u64) {
-    (FILTER_MEMO_HITS.get(), FILTER_MEMO_MISSES.get())
-}
+use std::sync::OnceLock;
 
 /// Pre-interned symbols of the COSY data model. Hot paths construct object
 /// references and dispatch attribute lookups with integer compares instead
@@ -173,9 +159,9 @@ TotalTiming Summary(Region r, TestRun t) = UNIQUE({s IN r.TotTimes WITH s.Run==t
 float Duration(Region r, TestRun t) = Summary(r,t).Incl;
 "#;
 
-/// Which per-run measurement set a [`CosyData`] memo entry caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum MemoSet {
+/// Which per-run measurement set an indexed `Run ==` load reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunSet {
     /// `Region.TotTimes WITH .Run == t`.
     TotTimes,
     /// `Region.TypTimes WITH .Run == t`.
@@ -184,45 +170,16 @@ enum MemoSet {
     Sums,
 }
 
-/// Memo key: which set, the owning object's arena index, the run's index.
-type MemoKey = (MemoSet, u32, u32);
-
 /// [`ObjectModel`] implementation over a [`perfdata::Store`], answering the
 /// attribute lookups of [`COSY_DATA_MODEL`].
 pub struct CosyData<'s> {
     store: &'s Store,
-    /// Per-binding memo of the indexed `Run ==` filter loads (see
-    /// [`CosyData::with_filter_memo`]). `None` disables memoization.
-    filter_memo: Option<Mutex<HashMap<MemoKey, Vec<Value>>>>,
 }
 
 impl<'s> CosyData<'s> {
     /// Bind a store.
     pub fn new(store: &'s Store) -> Self {
-        CosyData {
-            store,
-            filter_memo: None,
-        }
-    }
-
-    /// Bind a store with the per-(object, run) filter memo enabled: the
-    /// first `Run ==` metric load of each (region/call, run) pair
-    /// materializes from the store's secondary maps, every later load —
-    /// across all property instances evaluated through this binding — is
-    /// answered from the memo. Sound because the binding borrows the
-    /// store immutably for its whole lifetime: the underlying sets cannot
-    /// change while a memo entry exists. Error results (dangling
-    /// references) are never memoized, so failure behavior is identical.
-    ///
-    /// This is the flush-side fix for the per-instance constant: one
-    /// analysis flush evaluates many property instances over the same
-    /// few (region, run) pairs, and each used to re-load (re-hash,
-    /// re-allocate) the same timing sets.
-    pub fn with_filter_memo(store: &'s Store) -> Self {
-        CosyData {
-            store,
-            filter_memo: Some(Mutex::new(HashMap::new())),
-        }
+        CosyData { store }
     }
 
     /// The bound store.
@@ -294,58 +251,38 @@ impl CosyData<'_> {
             _ => return None,
         };
         let set = if obj.class == sy.region && set_attr == "TotTimes" {
-            MemoSet::TotTimes
+            RunSet::TotTimes
         } else if obj.class == sy.region && set_attr == "TypTimes" {
-            MemoSet::TypTimes
+            RunSet::TypTimes
         } else if obj.class == sy.function_call && set_attr == "Sums" {
-            MemoSet::Sums
+            RunSet::Sums
         } else {
             return None;
         };
-        if let Some(memo) = &self.filter_memo {
-            let key: MemoKey = (set, obj.index, run.0);
-            let guard = memo.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(cached) = guard.get(&key) {
-                FILTER_MEMO_HITS.inc();
-                return Some(Ok(cached.clone()));
-            }
-            drop(guard);
-            FILTER_MEMO_MISSES.inc();
-            let out = match self.load_by_run(set, obj, run) {
-                Ok(out) => out,
-                // Errors (dangling references) are never memoized.
-                Err(e) => return Some(Err(e)),
-            };
-            memo.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(key, out.clone());
-            Some(Ok(out))
-        } else {
-            Some(self.load_by_run(set, obj, run))
-        }
+        Some(self.load_by_run(set, obj, run))
     }
 
     /// Materialize one `Run ==` metric load from the store's secondary
     /// maps, in O(matches).
-    fn load_by_run(&self, set: MemoSet, obj: &ObjRef, run: TestRunId) -> EvalResult<Vec<Value>> {
+    fn load_by_run(&self, set: RunSet, obj: &ObjRef, run: TestRunId) -> EvalResult<Vec<Value>> {
         let sy = syms();
         let s = self.store;
         match set {
-            MemoSet::TotTimes => {
+            RunSet::TotTimes => {
                 let i = Self::check_index(obj, s.regions.len())?;
                 Ok(s.total_timing_ids(RegionId(i as u32), run)
                     .iter()
                     .map(|id| Value::obj(sy.total_timing, id.0))
                     .collect())
             }
-            MemoSet::TypTimes => {
+            RunSet::TypTimes => {
                 let i = Self::check_index(obj, s.regions.len())?;
                 Ok(s.typed_timing_ids(RegionId(i as u32), run)
                     .iter()
                     .map(|id| Value::obj(sy.typed_timing, id.0))
                     .collect())
             }
-            MemoSet::Sums => {
+            RunSet::Sums => {
                 let i = Self::check_index(obj, s.calls.len())?;
                 Ok(s.call_timing_ids(CallId(i as u32), run)
                     .iter()

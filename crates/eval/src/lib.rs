@@ -81,10 +81,11 @@ pub mod ops;
 pub mod value;
 
 pub use compile::{
-    cache_counters, compile, fn_memo_counters, CompiledArm, CompiledEvaluator, CompiledSpec,
-    ConstIr, FnIr, Ir, NodeRef, PropCost, PropIr, SourceCtx,
+    cache_counters, compile, filter_memo_counters, fn_memo_counters, CompiledArm,
+    CompiledEvaluator, CompiledSpec, ConstIr, EvalMemo, FnIr, Ir, NodeRef, PropCost, PropIr,
+    SourceCtx,
 };
-pub use cosy_model::{filter_memo_counters, native_index, CosyData, COSY_DATA_MODEL};
+pub use cosy_model::{native_index, CosyData, COSY_DATA_MODEL};
 pub use error::{EvalError, EvalErrorKind};
 pub use interp::{Interpreter, ObjectModel, PropertyOutcome};
 pub use value::{ObjRef, Value};

@@ -18,10 +18,9 @@ use crate::error::FlushError;
 use asl_core::check::CheckedSpec;
 use asl_eval::{compile as compile_ir, CompiledSpec};
 use cosy::backend::{Backend, PreparedBackend};
-use cosy::{AnalysisReport, Analyzer, ContextScope, HeldEntry, ProblemThreshold};
+use cosy::{AnalysisReport, Analyzer, ContextScope, HeldEntry, Instances, ProblemThreshold};
 use obs::{MetricsRegistry, MetricsSnapshot, MetricsSource};
 use perfdata::{CallId, RegionId, Store, TestRunId, VersionId};
-use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -55,7 +54,7 @@ impl MetricsSource for IncrementalStats {
 }
 
 /// Identity of a held entry within one run: (property, region, call).
-type EntryKey = (String, Option<u32>, Option<u32>);
+type EntryKey = (&'static str, Option<u32>, Option<u32>);
 
 #[derive(Debug, Default)]
 struct RunState {
@@ -297,7 +296,7 @@ impl IncrementalAnalyzer {
         // Per-property evaluation counts of this flush, applied to the
         // registry once at the end (never inside the merge loop — counter
         // lookup takes a lock).
-        let mut property_counts: HashMap<String, u64> = HashMap::new();
+        let mut property_counts: HashMap<&'static str, u64> = HashMap::new();
         let count_properties = self.registry.is_some() && obs::enabled();
         let mut versions: Vec<VersionId> = scopes.keys().copied().collect();
         versions.sort();
@@ -351,41 +350,31 @@ impl IncrementalAnalyzer {
                     other => PreparedBackend::prepare(other, &spec, store)?,
                 };
 
-                type Updates = Vec<(EntryKey, Option<HeldEntry>)>;
-                let results: Vec<Result<(TestRunId, bool, usize, Updates), FlushError>> = work
-                    .par_iter()
-                    .map(|(run, scope)| {
-                        let instances = analyzer.instances_scoped(*run, scope);
-                        let outcomes = analyzer.evaluate_instances(&prepared, &instances)?;
-                        let updates: Updates = instances
-                            .iter()
-                            .zip(outcomes)
-                            .map(|((prop, _, ctx), outcome)| {
-                                ((prop.clone(), ctx.region, ctx.call), outcome)
-                            })
-                            .collect();
-                        Ok((*run, *scope == ContextScope::All, instances.len(), updates))
-                    })
-                    .collect();
-
-                for result in results {
-                    let (run, full, evaluated, updates) = result?;
+                // Every dirty run of the version goes into one instance
+                // list — one parallel evaluation over the worker pool —
+                // and the outcomes are split back per run afterwards.
+                let mut instances = Instances::default();
+                let mut counts = Vec::with_capacity(work.len());
+                for (run, scope) in &work {
+                    let scoped = analyzer.instances_scoped(*run, scope);
+                    counts.push(scoped.len());
+                    instances.append(scoped);
+                }
+                let mut outcomes = analyzer
+                    .evaluate_instances(&prepared, &instances)?
+                    .into_iter();
+                let mut instances = instances.iter();
+                for (&(run, ref scope), evaluated) in work.iter().zip(counts) {
                     let state = self.states.entry(run).or_default();
-                    if full {
+                    if *scope == ContextScope::All {
                         state.entries.clear();
                         self.stats.full_reevaluations += 1;
                     }
-                    for (key, outcome) in updates {
+                    let updates = instances.by_ref().zip(outcomes.by_ref()).take(evaluated);
+                    for ((prop, _, ctx), outcome) in updates {
+                        let key: EntryKey = (prop, ctx.region, ctx.call);
                         if count_properties {
-                            // get-then-insert instead of `entry(clone)`:
-                            // one String clone per *distinct* property,
-                            // not one per evaluated instance.
-                            match property_counts.get_mut(&key.0) {
-                                Some(n) => *n += 1,
-                                None => {
-                                    property_counts.insert(key.0.clone(), 1);
-                                }
-                            }
+                            *property_counts.entry(prop).or_default() += 1;
                         }
                         match outcome {
                             Some(entry) => {

@@ -6,8 +6,8 @@
 //! and interning) and the [`IncrementalAnalyzer`] (live reports) behind one
 //! mutex; ingestion appends events and accumulates the pending
 //! [`StoreDelta`], and [`OnlineSession::flush`] turns the pending delta
-//! into refreshed reports (per-run evaluation fans out through rayon
-//! inside the incremental engine).
+//! into refreshed reports (the incremental engine evaluates all dirty
+//! instances of a version in one call on the shared worker pool).
 
 use crate::builder::{StoreBuilder, StoreDelta};
 use crate::error::FlushError;
